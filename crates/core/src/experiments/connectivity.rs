@@ -4,10 +4,13 @@ use crate::cache::Study;
 use webstruct_corpus::domain::{Attribute, Domain};
 use webstruct_graph::{component_stats, ifub_diameter, robustness_series, robustness_sweep};
 use webstruct_graph::BipartiteGraph;
-use webstruct_util::report::{Figure, Table};
+use webstruct_util::obs;
+use webstruct_util::report::{Figure, Series, Table};
 
-/// BFS budget for the exact-diameter computation. On these hub-dominated
-/// graphs iFUB terminates in well under this; the cap only guards
+/// Source-eccentricity budget for the exact-diameter computation (see
+/// [`webstruct_graph::Diameter::bfs_runs`]). It is checked before each
+/// batch of up to 64 sources, so a capped run can overshoot it by at most
+/// 63. The Table 2 graphs converge well inside it; the cap only guards
 /// pathological configs.
 pub const DIAMETER_BFS_BUDGET: u32 = 50_000;
 
@@ -61,11 +64,18 @@ pub fn build_graph(study: &Study, domain: Domain, attr: Attribute) -> BipartiteG
         .expect("generated ids are always in range")
 }
 
-/// Compute one Table 2 row.
-pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMetricsRow {
-    let graph = build_graph(study, domain, attr);
-    let stats = component_stats(&graph, &[]);
-    let diameter = ifub_diameter(&graph, DIAMETER_BFS_BUDGET);
+/// The Table 2 row of an already-built graph. Publishes the iFUB work to
+/// the deterministic metrics tail: `graph.ifub.bfs_runs.<domain>.<attr>`
+/// and the `graph.ifub.batches` total.
+fn metrics_of(graph: &BipartiteGraph, domain: Domain, attr: Attribute) -> GraphMetricsRow {
+    let stats = component_stats(graph, &[]);
+    let diameter = ifub_diameter(graph, DIAMETER_BFS_BUDGET);
+    let m = obs::metrics();
+    m.add(
+        &format!("graph.ifub.bfs_runs.{}.{}", domain.slug(), attr.slug()),
+        u64::from(diameter.bfs_runs),
+    );
+    m.add("graph.ifub.batches", u64::from(diameter.batches));
     GraphMetricsRow {
         domain,
         attr,
@@ -75,6 +85,11 @@ pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMet
         n_components: stats.n_components,
         pct_in_largest: 100.0 * stats.largest_fraction(),
     }
+}
+
+/// Compute one Table 2 row.
+pub fn graph_metrics(study: &Study, domain: Domain, attr: Attribute) -> GraphMetricsRow {
+    metrics_of(&build_graph(study, domain, attr), domain, attr)
 }
 
 /// All 17 rows of Table 2.
@@ -87,6 +102,10 @@ pub fn table2_rows(study: &Study) -> Vec<GraphMetricsRow> {
 
 /// Table 2 rendered as a report table.
 pub fn table2(study: &Study) -> Table {
+    table2_from_rows(&table2_rows(study))
+}
+
+fn table2_from_rows(rows: &[GraphMetricsRow]) -> Table {
     let mut table = Table::new(
         "Table 2: Entity-Site Graphs and Metrics",
         &[
@@ -98,7 +117,7 @@ pub fn table2(study: &Study) -> Table {
             "% entities in largest comp.",
         ],
     );
-    for row in table2_rows(study) {
+    for row in rows {
         table.push_row(vec![
             row.domain.display_name().to_string(),
             row.attr.slug().to_string(),
@@ -115,51 +134,57 @@ pub fn table2(study: &Study) -> Table {
     table
 }
 
-/// Figure 9: fraction of entities in the largest component after removing
-/// the top-k sites, k = 0..10. Three panels: (a) phones for the eight
-/// local domains, (b) homepages, (c) book ISBNs.
-pub fn fig9(study: &Study) -> Vec<Figure> {
-    let locals = [
-        Domain::Automotive,
-        Domain::Banks,
-        Domain::HomeGarden,
-        Domain::HotelsLodging,
-        Domain::Libraries,
-        Domain::Restaurants,
-        Domain::RetailShopping,
-        Domain::Schools,
-    ];
-    let mut panels = Vec::with_capacity(3);
-    for (panel_id, title, attr, domains) in [
-        (
-            "fig9a",
-            "Robustness: Phones",
-            Attribute::Phone,
-            &locals[..],
-        ),
-        (
-            "fig9b",
-            "Robustness: Home Pages",
-            Attribute::Homepage,
-            &locals[..],
-        ),
-        (
-            "fig9c",
-            "Robustness: Book ISBN",
-            Attribute::Isbn,
-            &[Domain::Books][..],
-        ),
-    ] {
+/// One graph's Figure 9 series: the largest-component fraction after
+/// removing the top-k sites, k = 0..10.
+fn robustness(graph: &BipartiteGraph, domain: Domain) -> Series {
+    robustness_series(domain.display_name(), &robustness_sweep(graph, 10))
+}
+
+/// Figure 9's three panels — (a) phones for the eight local domains,
+/// (b) homepages, (c) book ISBNs — from per-graph series in
+/// [`table2_graphs`] order.
+fn fig9_panels(series: &[(Attribute, Series)]) -> Vec<Figure> {
+    [
+        ("fig9a", "Robustness: Phones", Attribute::Phone),
+        ("fig9b", "Robustness: Home Pages", Attribute::Homepage),
+        ("fig9c", "Robustness: Book ISBN", Attribute::Isbn),
+    ]
+    .into_iter()
+    .map(|(panel_id, title, attr)| {
         let mut fig = Figure::new(panel_id, title)
             .with_axes("Top-K sites removed", "Fraction in Largest Component");
-        for &domain in domains {
-            let graph = build_graph(study, domain, attr);
-            let sweep = robustness_sweep(&graph, 10);
-            fig.push(robustness_series(domain.display_name(), &sweep));
+        for (a, s) in series {
+            if *a == attr {
+                fig.push(s.clone());
+            }
         }
-        panels.push(fig);
+        fig
+    })
+    .collect()
+}
+
+/// Figure 9: fraction of entities in the largest component after removing
+/// the top-k sites, k = 0..10, over the Table 2 graphs.
+pub fn fig9(study: &Study) -> Vec<Figure> {
+    let series: Vec<(Attribute, Series)> = table2_graphs()
+        .into_iter()
+        .map(|(d, a)| (a, robustness(&build_graph(study, d, a), d)))
+        .collect();
+    fig9_panels(&series)
+}
+
+/// Figure 9 and Table 2 together, building each of the 17 graphs once.
+/// Byte-identical to [`fig9`] and [`table2`] called in turn.
+pub fn fig9_and_table2(study: &Study) -> (Vec<Figure>, Table) {
+    let mut series = Vec::new();
+    let mut rows = Vec::new();
+    for (d, a) in table2_graphs() {
+        let _span = obs::span_with(|| format!("graph:{}.{}", d.slug(), a.slug()));
+        let graph = build_graph(study, d, a);
+        series.push((a, robustness(&graph, d)));
+        rows.push(metrics_of(&graph, d, a));
     }
-    panels
+    (fig9_panels(&series), table2_from_rows(&rows))
 }
 
 #[cfg(test)]
@@ -210,6 +235,14 @@ mod tests {
         let md = t.to_markdown();
         assert!(md.contains("Books"));
         assert!(md.contains("homepage"));
+    }
+
+    #[test]
+    fn combined_pass_matches_separate_fig9_and_table2() {
+        let study = quick_study();
+        let (figures, table) = fig9_and_table2(&study);
+        assert_eq!(figures, fig9(&study));
+        assert_eq!(table, table2(&study));
     }
 
     #[test]

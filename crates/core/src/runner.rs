@@ -15,7 +15,8 @@
 //! family name to run a chaos drill against a live binary.
 
 use crate::cache::Study;
-use crate::experiments::{connectivity, discovery, linkage, redundancy, spread, table1, tail_value};
+use crate::experiments::connectivity::fig9_and_table2;
+use crate::experiments::{discovery, linkage, redundancy, spread, table1, tail_value};
 use webstruct_corpus::domain::Domain;
 use crate::study::StudyConfig;
 use std::io::Write as _;
@@ -151,13 +152,6 @@ fn tail_family(study: &Study) -> Vec<Figure> {
     figures
 }
 
-/// The connectivity family: Figure 9 and Table 2.
-fn connectivity_family(study: &Study) -> (Vec<Figure>, Table) {
-    let figures = connectivity::fig9(study);
-    let t2 = connectivity::table2(study);
-    (figures, t2)
-}
-
 /// Run the full study: every table and figure of the paper.
 ///
 /// Independent figure families execute on separate threads when more than
@@ -183,7 +177,7 @@ pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutp
             (
                 run_family("spread", chaos, || spread_family(&study)),
                 run_family("tail-value", chaos, || tail_family(&study)),
-                run_family("connectivity", chaos, || connectivity_family(&study)),
+                run_family("connectivity", chaos, || fig9_and_table2(&study)),
             )
         } else {
             std::thread::scope(|s| {
@@ -192,7 +186,7 @@ pub fn run_all_chaos(config: &StudyConfig, fail_family: Option<&str>) -> RunOutp
                 // cannot, short of an abort).
                 let tail = s.spawn(|| run_family("tail-value", chaos, || tail_family(&study)));
                 let conn =
-                    s.spawn(|| run_family("connectivity", chaos, || connectivity_family(&study)));
+                    s.spawn(|| run_family("connectivity", chaos, || fig9_and_table2(&study)));
                 // The heaviest family runs on the current thread.
                 let spread = run_family("spread", chaos, || spread_family(&study));
                 (

@@ -13,6 +13,9 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+echo "==> unit: graph + core crates (iFUB, Table 2 / Fig. 9, runner)"
+cargo test -q -p webstruct-graph -p webstruct-core
+
 echo "==> lint: clippy perf pass (hot-path regressions surface as warnings)"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --quiet -- -W clippy::perf

@@ -126,6 +126,16 @@ fn metrics_snapshot_is_identical_across_thread_counts() {
     });
     assert!(baseline.contains("cache.domain_requests"), "snapshot: {baseline}");
     assert!(baseline.contains("runner.figures"), "snapshot: {baseline}");
+    // iFUB work per Table 2 graph is counted, so an algorithmic
+    // regression shows up here as a count, not only as wall time.
+    for key in [
+        "graph.ifub.bfs_runs.books.isbn",
+        "graph.ifub.bfs_runs.hotels.homepage",
+        "graph.ifub.batches",
+    ] {
+        let quoted = format!("\"{key}\"");
+        assert!(baseline.contains(&quoted), "{key} missing: {baseline}");
+    }
     for threads in [2, 8] {
         let snap = metrics_snapshot_at(threads, || {
             let _ = run_all(&cfg);

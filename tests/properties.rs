@@ -260,6 +260,48 @@ fn rng_streams_are_reproducible() {
     }
 }
 
+/// Brute-force diameter of the component iFUB reports — the one holding
+/// the max-degree node — as the largest eccentricity in it, plus the
+/// widest BFS level from that node that iFUB must evaluate (deeper than
+/// half the diameter).
+fn brute_force_diameter(graph: &BipartiteGraph) -> (u32, usize) {
+    let start = (0..graph.n_nodes() as u32)
+        .max_by_key(|&v| graph.degree(v))
+        .unwrap_or(0);
+    if graph.degree(start) == 0 {
+        return (0, 0);
+    }
+    let mut dist = vec![u32::MAX; graph.n_nodes()];
+    let mut queue = std::collections::VecDeque::new();
+    let mut comp = Vec::new();
+    dist[start as usize] = 0;
+    queue.push_back(start);
+    while let Some(u) = queue.pop_front() {
+        comp.push(u);
+        for v in graph.neighbors(u) {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = dist[u as usize] + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    let diameter = comp
+        .iter()
+        .map(|&u| eccentricity(graph, u))
+        .max()
+        .unwrap_or(0);
+    let mut widths = vec![0usize; comp.len()];
+    for &u in &comp {
+        widths[dist[u as usize] as usize] += 1;
+    }
+    let widest = (0..widths.len())
+        .filter(|&i| 2 * i as u32 > diameter)
+        .map(|i| widths[i])
+        .max()
+        .unwrap_or(0);
+    (diameter, widest)
+}
+
 #[test]
 fn ifub_matches_brute_force_diameter() {
     let mut rng = Xoshiro256::from_seed(Seed(110));
@@ -268,36 +310,52 @@ fn ifub_matches_brute_force_diameter() {
         let graph = BipartiteGraph::from_occurrences(n, &lists).unwrap();
         let fast = ifub_diameter(&graph, 1_000_000);
         assert!(fast.exact);
-        // iFUB reports the diameter of the component containing the
-        // max-degree node; brute-force that component.
-        let start = (0..graph.n_nodes() as u32)
-            .max_by_key(|&v| graph.degree(v))
-            .unwrap_or(0);
-        if graph.degree(start) == 0 {
-            assert_eq!(fast.value, 0);
-            continue;
+        let (brute, _) = brute_force_diameter(&graph);
+        assert_eq!(fast.value, brute, "iFUB {} vs brute {}", fast.value, brute);
+    }
+}
+
+#[test]
+fn ifub_matches_brute_force_on_levels_wider_than_a_batch() {
+    // 350+ entities: hub site H (the iFUB root) over a quarter of them,
+    // a slightly smaller hub Q over another quarter, a few small sites
+    // linking the two, and pendant entities hung on H's side (about half
+    // the rest; the others stay absent). Q's entities sit one level past
+    // Q, deeper than half the diameter, so iFUB evaluates a level of more
+    // than 64 nodes in several batches.
+    let mut rng = Xoshiro256::from_seed(Seed(118));
+    for _ in 0..CASES / 4 {
+        let n = rng.range_u64(350, 500) as u32;
+        let (a, b) = (n / 4, n / 4 - 1);
+        let mut lists: Vec<Vec<EntityId>> = vec![
+            (0..a).map(EntityId::new).collect(),
+            (a..a + b).map(EntityId::new).collect(),
+        ];
+        for _ in 0..n / 24 {
+            let len = rng.range_u64(2, 4);
+            lists.push(
+                (0..len)
+                    .map(|_| EntityId::new(rng.u64_below(u64::from(a + b)) as u32))
+                    .collect(),
+            );
         }
-        // Collect the component of `start`.
-        let mut comp = Vec::new();
-        let mut seen = vec![false; graph.n_nodes()];
-        let mut queue = std::collections::VecDeque::new();
-        seen[start as usize] = true;
-        queue.push_back(start);
-        while let Some(u) = queue.pop_front() {
-            comp.push(u);
-            for v in graph.neighbors(u) {
-                if !seen[v as usize] {
-                    seen[v as usize] = true;
-                    queue.push_back(v);
-                }
+        for x in a + b..n {
+            if rng.bool_with(0.5) {
+                lists.push(vec![
+                    EntityId::new(x),
+                    EntityId::new(rng.u64_below(u64::from(a)) as u32),
+                ]);
             }
         }
-        let brute = comp
-            .iter()
-            .map(|&u| eccentricity(&graph, u))
-            .max()
-            .unwrap_or(0);
+        let graph = BipartiteGraph::from_occurrences(n as usize, &lists).unwrap();
+        let fast = ifub_diameter(&graph, 1_000_000);
+        assert!(fast.exact);
+        let (brute, widest) = brute_force_diameter(&graph);
         assert_eq!(fast.value, brute, "iFUB {} vs brute {}", fast.value, brute);
+        assert!(
+            widest > 64,
+            "the fixture must fill more than one batch (widest level {widest})"
+        );
     }
 }
 
