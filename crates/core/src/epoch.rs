@@ -54,7 +54,7 @@ use webstruct_graph::{BipartiteGraph, GraphAccumulator, GraphError};
 use webstruct_util::ids::SiteId;
 use webstruct_util::iofault::FaultSession;
 use webstruct_util::rng::{Seed, Xoshiro256};
-use webstruct_util::sha::Sha256;
+use webstruct_util::sha::{hex, Sha256};
 use webstruct_util::{obs, par};
 
 /// Coverage is tracked for `k = 1..=COVERAGE_MAX_K`, matching the
@@ -131,11 +131,7 @@ impl EpochReport {
     /// The output digest as lowercase hex.
     #[must_use]
     pub fn digest_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.output_digest {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
+        hex(&self.output_digest)
     }
 }
 

@@ -56,7 +56,7 @@
 use crate::shard::{ShardError, ShardHeader, ShardSpec};
 use std::path::{Path, PathBuf};
 use webstruct_util::iofault::FaultSession;
-use webstruct_util::sha::Sha256;
+use webstruct_util::sha::{hex, Sha256};
 
 /// Manifest file name inside a store directory.
 pub const MANIFEST_NAME: &str = "MANIFEST.wsm";
@@ -193,14 +193,6 @@ pub struct StoreManifest {
     pub ext: Option<ExtSection>,
 }
 
-fn hex(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
-    }
-    s
-}
-
 fn unhex32(s: &str) -> Option<[u8; 32]> {
     if s.len() != 64 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
@@ -302,6 +294,12 @@ impl StoreManifest {
             .and_then(|l| l.strip_prefix("shards "))
             .and_then(|s| s.parse().ok())
             .ok_or(corrupt("malformed shards line"))?;
+        // Every shard line carries a 64-hex digest, so the count cannot
+        // exceed what the body has room for; checking first keeps the
+        // reservation below bounded by the input size.
+        if n_shards > body.len() / 64 {
+            return Err(corrupt("shards count exceeds manifest size"));
+        }
         let mut shards = Vec::with_capacity(n_shards);
         for i in 0..n_shards {
             let line = lines.next().ok_or(corrupt("missing shard line"))?;
@@ -635,6 +633,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn oversized_shards_count_is_corrupt_not_an_abort() {
+        // A valid checksum over an absurd count must be rejected before
+        // anything is reserved for it.
+        let mut body = String::from("WSM1\n");
+        body.push_str(&format!("fingerprint {}\n", hex(&[7u8; 32])));
+        body.push_str("sites 10\nshards 100000000000000000\n");
+        let mut sha = Sha256::new();
+        sha.update(body.as_bytes());
+        let text = format!("{body}checksum {}\n", hex(&sha.finalize()));
+        assert!(matches!(
+            StoreManifest::parse(&text),
+            Err(ShardError::ManifestCorrupt(
+                "shards count exceeds manifest size"
+            ))
+        ));
     }
 
     #[test]

@@ -186,21 +186,11 @@ fn render(state: &ServeState, path: &str) -> crate::router::Routed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webstruct_core::study::StudyConfig;
-    use webstruct_corpus::domain::Domain;
-    use webstruct_util::Seed;
-
-    fn state() -> ServeState {
-        let dir =
-            std::env::temp_dir().join(format!("webstruct-serve-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(4));
-        ServeState::build(Domain::Restaurants, config, &dir, 2).unwrap()
-    }
+    use crate::fixture::state;
 
     #[test]
     fn cached_bytes_match_the_router_exactly() {
-        let s = state();
+        let s = state("cache-bytes");
         let cache = ResponseCache::build(&s);
         for path in [
             "/",
@@ -223,7 +213,7 @@ mod tests {
 
     #[test]
     fn entity_slab_fills_once_then_hits() {
-        let s = state();
+        let s = state("cache-slab");
         let cache = ResponseCache::build(&s);
         let (_, first) = cache.lookup(&s, "/entity/5").unwrap();
         assert_eq!(first, CacheOutcome::Filled);
@@ -237,7 +227,7 @@ mod tests {
 
     #[test]
     fn uncacheable_paths_fall_through() {
-        let s = state();
+        let s = state("cache-uncacheable");
         let cache = ResponseCache::build(&s);
         for path in [
             "/entity",         // query-driven lookup

@@ -71,3 +71,28 @@ pub use router::{route, Control, Routed};
 pub use server::{ServeConfig, ServeStats, Server};
 pub use state::ServeState;
 pub use swap::{EpochManager, ServeEpoch, SharedServing};
+
+#[cfg(test)]
+mod fixture {
+    //! Unit-test fixtures. Each test passes its own tag, so tests running
+    //! in parallel never share (or delete) each other's store directory.
+    use crate::ServeState;
+    use std::path::PathBuf;
+    use webstruct_core::study::StudyConfig;
+    use webstruct_corpus::domain::Domain;
+    use webstruct_util::Seed;
+
+    /// An empty scratch directory unique to `tag` and this process.
+    pub(crate) fn tmpdir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("webstruct-serve-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The quick-scale restaurants serving state, stored under `tmpdir(tag)`.
+    pub(crate) fn state(tag: &str) -> ServeState {
+        let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(4));
+        ServeState::build(Domain::Restaurants, config, &tmpdir(tag), 2).unwrap()
+    }
+}

@@ -345,18 +345,8 @@ fn figure_csv(state: &ServeState, file: &str) -> Routed {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::state;
     use crate::http::{parse_request, Parse};
-    use webstruct_core::study::StudyConfig;
-    use webstruct_corpus::domain::Domain;
-    use webstruct_util::Seed;
-
-    fn state() -> ServeState {
-        let dir = std::env::temp_dir()
-            .join(format!("webstruct-serve-router-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(4));
-        ServeState::build(Domain::Restaurants, config, &dir, 2).unwrap()
-    }
 
     fn get(state: &ServeState, target: &str) -> Routed {
         let raw = format!("GET {target} HTTP/1.1\r\n\r\n");
@@ -368,7 +358,7 @@ mod tests {
 
     #[test]
     fn taxonomy_covers_the_path_space() {
-        let s = state();
+        let s = state("router-taxonomy");
         assert_eq!(get(&s, "/").response.status, 200);
         assert_eq!(get(&s, "/entity/0").response.status, 200);
         assert_eq!(get(&s, "/entity/banana").response.status, 400);
@@ -405,7 +395,7 @@ mod tests {
 
     #[test]
     fn admin_epoch_parses_params_and_rejects_garbage() {
-        let s = state();
+        let s = state("router-admin");
         // GET → 405, like /shutdown.
         assert_eq!(get(&s, "/admin/epoch").response.status, 405);
         // POST with defaults.
@@ -439,7 +429,7 @@ mod tests {
 
     #[test]
     fn identifier_lookup_roundtrips() {
-        let s = state();
+        let s = state("router-lookup");
         // Find an entity with a phone and look it up through the index.
         let with_phone = (0..s.catalog.len())
             .map(|i| s.catalog.entity(EntityId::new(i as u32)))
@@ -457,7 +447,7 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic() {
-        let s = state();
+        let s = state("router-determinism");
         for target in ["/", "/entity/3", "/coverage", "/demand/imdb/browse.csv"] {
             let a = get(&s, target).response;
             let b = get(&s, target).response;

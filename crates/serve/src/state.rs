@@ -159,18 +159,12 @@ fn coverage_figure(report: &EpochReport) -> Figure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::tmpdir;
     use webstruct_util::Seed;
-
-    fn tmpdir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("webstruct-serve-state-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn build_produces_consistent_indexes() {
-        let dir = tmpdir("build");
+        let dir = tmpdir("state-build");
         let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(3));
         let state = ServeState::build(Domain::Restaurants, config, &dir, 2).unwrap();
         // The inverse map agrees with the forward lists.

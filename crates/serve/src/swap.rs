@@ -176,13 +176,12 @@ impl EpochManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixture::tmpdir;
     use webstruct_core::study::StudyConfig;
     use webstruct_corpus::domain::Domain;
 
     fn boot(tag: &str) -> (Arc<SharedServing>, Arc<EpochManager>) {
-        let dir =
-            std::env::temp_dir().join(format!("webstruct-serve-swap-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = tmpdir(&format!("swap-{tag}"));
         let config = StudyConfig::quick().with_scale(0.02).with_seed(Seed(4));
         let epoch = Epoch::new(Domain::Restaurants, config);
         let state = ServeState::from_epoch(&epoch, &dir, 2).unwrap();

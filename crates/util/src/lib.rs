@@ -29,7 +29,8 @@
 //!   `Read`/`Write`/`Seek` file wrapper, for crash-safety torture tests;
 //! * [`obs`] — structured observability: hierarchical spans, deterministic
 //!   counter/gauge/histogram registries and per-run trace reports;
-//! * [`sha`] — std-only SHA-256 for golden artifact manifests.
+//! * [`sha`] — std-only SHA-256 (SHA-NI kernel with a portable fallback)
+//!   for the store's integrity checks and the golden artifact manifests.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]

@@ -1,10 +1,28 @@
-//! Std-only SHA-256 (FIPS 180-4) for the golden artifact manifest.
+//! Std-only SHA-256 (FIPS 180-4): the integrity hot path of the store.
 //!
-//! The container image carries no crypto crates, and the manifest test
-//! only needs a stable, collision-resistant content fingerprint — so the
-//! compression function is implemented directly from the spec. It is not
-//! a hot path (a few hundred KiB of CSV per run), so clarity wins over
-//! block-level tricks.
+//! Every WSP1 shard payload is hashed when it is written and again when
+//! `PageShardReader::open` verifies it; the WSE1 extraction caches,
+//! `MANIFEST.wsm`, the epoch output digest, the replay response digest
+//! and the golden artifact manifests all hash on top of that. A cold
+//! serve set-up pushes on the order of a hundred megabytes through this
+//! module, so the block function is the only part that matters.
+//!
+//! The workspace depends on no crypto crates, so both kernels are
+//! written directly from the spec:
+//!
+//! * `portable` — the textbook message schedule and 64-round compressor,
+//!   compiled on every target;
+//! * `shani` (x86_64 only) — the SHA extensions (`sha256rnds2`,
+//!   `sha256msg1`, `sha256msg2`), two rounds per instruction, roughly
+//!   6× the portable throughput on CPUs that have them.
+//!
+//! [`compress_blocks`] picks the kernel at run time with
+//! `is_x86_feature_detected!` (`sha` and `sse4.1`; std caches the CPUID
+//! probe, so the check is a load and a branch) and falls back to the
+//! portable kernel on every other CPU and architecture. Both kernels
+//! compute the same function, so every digest is bit-identical whichever
+//! one runs; a seeded differential test at the bottom of this file holds
+//! the dispatched hasher to the portable kernel.
 
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]
@@ -59,24 +77,16 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-            // Everything fit in the partial buffer: the block-and-tail
-            // logic below must not clobber it.
-            if rest.is_empty() {
+            if self.buf_len < 64 {
+                // Everything fit in the partial buffer.
                 return;
             }
+            compress_blocks(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for block in &mut chunks {
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let tail = chunks.remainder();
+        let whole = rest.len() - rest.len() % 64;
+        compress_blocks(&mut self.state, &rest[..whole]);
+        let tail = &rest[whole..];
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -84,23 +94,54 @@ impl Sha256 {
     /// Finish and return the 32-byte digest.
     #[must_use]
     pub fn finalize(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Manual length append: `update` would double-count it.
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        // Buffered tail, the 0x80 marker, zero fill and the 64-bit message
+        // length: one block, or two when the tail leaves no room for the
+        // length (FIPS 180-4 §5.1.1).
+        let n = self.buf_len;
+        let mut last = [0u8; 128];
+        last[..n].copy_from_slice(&self.buf[..n]);
+        last[n] = 0x80;
+        let end = if n < 56 { 64 } else { 128 };
+        last[end - 8..end].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        compress_blocks(&mut self.state, &last[..end]);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Run the compression function over `blocks` (a whole number of 64-byte
+/// blocks), on the SHA-NI kernel when the CPU has it.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    if blocks.is_empty() {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
+            // SAFETY: both features the kernel is compiled for were just
+            // detected on this CPU (SSE2 and SSSE3 are implied by SSE4.1).
+            unsafe { shani::compress_blocks(state, blocks) };
+            return;
+        }
+    }
+    portable::compress_blocks(state, blocks);
+}
+
+mod portable {
+    //! The FIPS 180-4 §6.2.2 compressor, one round per iteration.
+    use super::K;
+
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        for block in blocks.chunks_exact(64) {
+            compress(state, block);
+        }
+    }
+
+    fn compress(state: &mut [u32; 8], block: &[u8]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -113,7 +154,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -134,10 +175,118 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    //! The x86 SHA extensions kernel. `sha256rnds2` keeps the eight
+    //! working variables in two vectors, `ABEF` and `CDGH`, and runs two
+    //! rounds per instruction; `sha256msg1`/`sha256msg2` extend
+    //! the message schedule four words at a time. Not part of the x86_64
+    //! baseline, so callers must detect `sha` and `sse4.1` first.
+    use super::K;
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    /// SAFETY contract (callers): the CPU supports `sha` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) unsafe fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte-swaps each 32-bit lane: message words are big-endian.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let state_ptr = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 readable bytes; loadu has no alignment
+        // requirement.
+        let (dcba, hgfe) = unsafe {
+            (
+                _mm_loadu_si128(state_ptr),
+                _mm_loadu_si128(state_ptr.add(1)),
+            )
+        };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is 64 readable bytes, four unaligned loads.
+            let (mut w0, mut w1, mut w2, mut w3) = unsafe {
+                (
+                    _mm_shuffle_epi8(_mm_loadu_si128(p), be_words),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), be_words),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), be_words),
+                    _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), be_words),
+                )
+            };
+            // Four rounds on schedule words W[4i..4i+4].
+            macro_rules! rounds4 {
+                ($w:expr, $i:expr) => {{
+                    // SAFETY: `4 * i + 4 <= 64`, so 16 readable bytes of `K`.
+                    let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * $i).cast::<__m128i>()) };
+                    let wk = _mm_add_epi32($w, k);
+                    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                    abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+                }};
+            }
+            // W[t..t+4] from the previous sixteen words held in
+            // `$a, $b, $c, $d` (oldest first), replacing `$a`.
+            macro_rules! schedule {
+                ($a:ident, $b:ident, $c:ident, $d:ident) => {
+                    $a = _mm_sha256msg2_epu32(
+                        _mm_add_epi32(_mm_sha256msg1_epu32($a, $b), _mm_alignr_epi8($d, $c, 4)),
+                        $d,
+                    )
+                };
+            }
+            rounds4!(w0, 0);
+            rounds4!(w1, 1);
+            rounds4!(w2, 2);
+            rounds4!(w3, 3);
+            for i in [4, 8, 12] {
+                schedule!(w0, w1, w2, w3);
+                rounds4!(w0, i);
+                schedule!(w1, w2, w3, w0);
+                rounds4!(w1, i + 1);
+                schedule!(w2, w3, w0, w1);
+                rounds4!(w2, i + 2);
+                schedule!(w3, w0, w1, w2);
+                rounds4!(w3, i + 3);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: `state` is 32 writable bytes; storeu has no alignment
+        // requirement.
+        unsafe {
+            _mm_storeu_si128(state_ptr, dcba);
+            _mm_storeu_si128(state_ptr.add(1), hgef);
+        }
+    }
+}
+
+/// `bytes` as a lowercase hex string.
+#[must_use]
+pub fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0x0f)]));
+    }
+    out
 }
 
 /// SHA-256 of `data` as a lowercase hex string.
@@ -145,47 +294,87 @@ impl Sha256 {
 pub fn sha256_hex(data: &[u8]) -> String {
     let mut h = Sha256::new();
     h.update(data);
-    let digest = h.finalize();
-    let mut out = String::with_capacity(64);
-    for byte in digest {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
+    hex(&h.finalize())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{Seed, Xoshiro256};
+
+    /// SHA-256 with the padding built by hand and only the portable
+    /// kernel run: an oracle independent of `update`/`finalize` and of
+    /// the dispatch.
+    fn portable_digest(data: &[u8]) -> [u8; 32] {
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&((data.len() as u64) * 8).to_be_bytes());
+        let mut state = Sha256::new().state;
+        portable::compress_blocks(&mut state, &msg);
+        let mut out = [0u8; 32];
+        for (i, word) in state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    const FIPS: [(&[u8], &str); 3] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+    ];
 
     #[test]
     fn fips_vectors() {
-        assert_eq!(
-            sha256_hex(b""),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            sha256_hex(b"abc"),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256_hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        for (msg, want) in FIPS {
+            assert_eq!(sha256_hex(msg), want, "dispatched");
+            assert_eq!(hex(&portable_digest(msg)), want, "portable");
+        }
     }
 
     #[test]
     fn million_a() {
+        const WANT: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
         let mut h = Sha256::new();
         let chunk = [b'a'; 1000];
         for _ in 0..1000 {
             h.update(&chunk);
         }
-        let digest = h.finalize();
-        let hex: String = digest.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(
-            hex,
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(hex(&h.finalize()), WANT, "dispatched");
+        assert_eq!(hex(&portable_digest(&[b'a'; 1_000_000])), WANT, "portable");
+    }
+
+    #[test]
+    fn dispatched_matches_portable_on_seeded_splits() {
+        let mut rng = Xoshiro256::from_seed(Seed(0x5a56_2561));
+        let data: Vec<u8> = (0..=4096).map(|_| rng.next_u32() as u8).collect();
+        for len in 0..=4096usize {
+            let msg = &data[..len];
+            let want = portable_digest(msg);
+            // Three random cut points, so runs of whole blocks, partial
+            // buffers and empty updates all reach `compress_blocks`.
+            let mut cuts = [0usize; 3].map(|_| rng.usize_below(len + 1));
+            cuts.sort_unstable();
+            let mut h = Sha256::new();
+            let mut at = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                h.update(&msg[at..cut]);
+                at = cut;
+            }
+            assert_eq!(h.finalize(), want, "len {len} cuts {cuts:?}");
+        }
     }
 
     #[test]
@@ -196,8 +385,7 @@ mod tests {
             let mut h = Sha256::new();
             h.update(&data[..split]);
             h.update(&data[split..]);
-            let hex: String = h.finalize().iter().map(|b| format!("{b:02x}")).collect();
-            assert_eq!(hex, oneshot, "split at {split}");
+            assert_eq!(hex(&h.finalize()), oneshot, "split at {split}");
         }
     }
 
@@ -206,13 +394,11 @@ mod tests {
         // 55/56/64-byte messages exercise the padding edge cases.
         for len in [55usize, 56, 63, 64, 119, 120] {
             let data = vec![0x5au8; len];
-            let a = sha256_hex(&data);
             let mut h = Sha256::new();
             for byte in &data {
                 h.update(std::slice::from_ref(byte));
             }
-            let b: String = h.finalize().iter().map(|x| format!("{x:02x}")).collect();
-            assert_eq!(a, b, "len {len}");
+            assert_eq!(h.finalize(), portable_digest(&data), "len {len}");
         }
     }
 }

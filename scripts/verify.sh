@@ -13,8 +13,8 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> unit: graph + core crates (iFUB, Table 2 / Fig. 9, runner)"
-cargo test -q -p webstruct-graph -p webstruct-core
+echo "==> unit: graph, core, util, corpus, serve crates (iFUB, runner, SHA-256 kernels, store codecs, serving)"
+cargo test -q -p webstruct-graph -p webstruct-core -p webstruct-util -p webstruct-corpus -p webstruct-serve
 
 echo "==> lint: clippy perf pass (hot-path regressions surface as warnings)"
 if cargo clippy --version >/dev/null 2>&1; then

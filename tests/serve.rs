@@ -45,7 +45,7 @@ use webstruct::serve::{
 use webstruct::util::fault::{Fault, FaultConfig, FaultPlan};
 use webstruct::util::obs;
 use webstruct::util::rng::Seed;
-use webstruct::util::sha::Sha256;
+use webstruct::util::sha::{hex, sha256_hex, Sha256};
 
 fn env_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -136,14 +136,8 @@ fn sweep_digests(addr: SocketAddr) -> Vec<String> {
         .map(|&(target, want)| {
             let resp = conn.get(target).expect("sweep request");
             assert_eq!(resp.status, want, "{target}");
-            let mut h = Sha256::new();
-            h.update(&resp.body);
-            let digest = h.finalize();
-            let mut hex = String::with_capacity(64);
-            for b in digest {
-                hex.push_str(&format!("{b:02x}"));
-            }
-            format!("{target} {} {} {hex}", resp.status, resp.content_type)
+            let body = sha256_hex(&resp.body);
+            format!("{target} {} {} {body}", resp.status, resp.content_type)
         })
         .collect()
 }
@@ -195,22 +189,18 @@ fn serve_golden_digest_matches_blessed() {
         h.update(line.as_bytes());
         h.update(b"\n");
     }
-    let digest = h.finalize();
-    let mut hex = String::with_capacity(64);
-    for b in digest {
-        hex.push_str(&format!("{b:02x}"));
-    }
+    let digest = hex(&h.finalize());
 
     let golden_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/SERVE.sha256");
     if std::env::var("WEBSTRUCT_BLESS").is_ok() {
-        std::fs::write(&golden_path, format!("{hex}\n")).expect("bless serve golden");
+        std::fs::write(&golden_path, format!("{digest}\n")).expect("bless serve golden");
         return;
     }
     let blessed = std::fs::read_to_string(&golden_path)
         .expect("tests/SERVE.sha256 missing — run scripts/bless.sh");
     assert_eq!(
         blessed.trim(),
-        hex,
+        digest,
         "served bytes changed; if intentional, re-bless with scripts/bless.sh\nsweep:\n{}",
         lines.join("\n")
     );
